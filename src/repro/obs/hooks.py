@@ -2,7 +2,8 @@
 
 The :class:`~repro.sim.Simulator` accepts one :class:`KernelHooks`
 object (``sim.hooks``) whose callbacks fire on event scheduling and
-execution and around :meth:`~repro.sim.Simulator.run`.  The default is
+execution and around each :meth:`~repro.sim.Simulator.run` and
+:meth:`~repro.sim.Simulator.run_until_done` call.  The default is
 ``None`` — the kernel's hot loop pays exactly one ``is not None`` test
 per event, so simulations that do not profile lose nothing.
 
@@ -25,9 +26,11 @@ class KernelHooks:
     """Base class: every callback is a no-op.  Subclass and override.
 
     The kernel invokes, in order: :meth:`on_run_start` when a
-    :meth:`~repro.sim.Simulator.run` begins, :meth:`on_schedule` for
-    every event pushed on the heap, :meth:`on_execute` for every event
-    popped and executed, and :meth:`on_run_end` when the run returns.
+    :meth:`~repro.sim.Simulator.run` or
+    :meth:`~repro.sim.Simulator.run_until_done` call begins,
+    :meth:`on_schedule` for every event queued, :meth:`on_execute` for
+    every event executed, and :meth:`on_run_end` when that call returns
+    or raises: one ``on_run_start``/``on_run_end`` pair per call.
     """
 
     def on_run_start(self, sim) -> None:
@@ -78,11 +81,7 @@ class EventLoopProfiler(KernelHooks):
 
     def on_schedule(self, sim, time_ns: int, fn: Callable) -> None:
         self.events_scheduled += 1
-        # Pending events across both queue tiers (the bucket calendar
-        # and the binary heap); pre-bucket kernels expose only _heap.
-        depth = getattr(sim, "pending_events", None)
-        if depth is None:
-            depth = len(sim._heap)
+        depth = sim.pending_events
         if depth > self.max_heap_depth:
             self.max_heap_depth = depth
 

@@ -43,17 +43,21 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
 - Internal wakeups go through :meth:`Simulator._post`, which returns
   no handle and performs no validation — the common ``yield ns`` costs
   one tuple append, no :class:`Future`, no handle, no closure.
-- Every run loop **batch-dispatches**: it removes the whole run of
-  events sharing the next timestamp in one pass and fires them
-  back-to-back, amortizing queue traffic, ``now`` updates, and bound
-  checks across the batch.  Events posted *during* a batch at the same
-  instant (delay-0 wakeups) form the next batch; their ``seq`` is
-  necessarily higher, so ordering is unchanged.
+- One run loop, :meth:`Simulator._dispatch`, serves both
+  :meth:`Simulator.run` and :meth:`Simulator.run_until_done`.  It
+  **batch-dispatches**: it removes the whole run of events sharing the
+  next timestamp in one pass and fires them back-to-back, amortizing
+  queue traffic, ``now`` updates, and the ``until`` test across the
+  batch.  Events posted *during* a batch at the same instant (delay-0
+  wakeups) form the next batch; their ``seq`` is necessarily higher,
+  so ordering is unchanged.  The per-event stops (``max_events``, a
+  completed join, an exception) push the unfired tail back.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import (
     Any,
@@ -62,6 +66,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -71,6 +76,12 @@ from typing import (
 _HeapEntry = Tuple[int, int, Optional[Callable[..., None]], Any]
 
 _WaiterCallback = Callable[[Any, Optional[BaseException]], None]
+
+#: ``until`` bound of an unbounded run: later than any event time.
+_NO_BOUND = sys.maxsize
+
+#: Completion cell of a plain :meth:`Simulator.run`: never reaches 0.
+_NEVER_DONE = (1,)
 
 
 class SimulationDeadlock(RuntimeError):
@@ -526,10 +537,12 @@ class Simulator:
         sim.run()
         assert proc.done
 
-    ``run`` drains the event heap (optionally bounded by ``until`` in
+    ``run`` drains the event queue (optionally bounded by ``until`` in
     nanoseconds or ``max_events``).  If ``check_deadlock`` is set and
-    the heap drains while spawned processes are still blocked,
-    :class:`SimulationDeadlock` is raised.
+    the queue drains while spawned processes are still blocked,
+    :class:`SimulationDeadlock` is raised.  ``run_until_done`` runs
+    until given processes complete, bounded by ``limit_ns``.  Both
+    drive the one run loop, :meth:`_dispatch`.
     """
 
     #: Tombstone floor below which compaction is never attempted.
@@ -557,7 +570,7 @@ class Simulator:
         #: the bucket dict and the time-heap entirely.  Invariant: all
         #: entries are at time ``now`` (enforced by flushing to the
         #: heap whenever the loop would move ``now`` past them).
-        #: Never rebound — the run loops hold a direct reference.
+        #: Never rebound — the run loop holds a direct reference.
         self._now_list: list = []
         self.bucket_horizon: int = self.DEFAULT_BUCKET_HORIZON
         self._seq = 0
@@ -657,8 +670,8 @@ class Simulator:
     def _compact(self) -> None:
         """Drop tombstoned slots and re-heapify, in place.
 
-        In place because the run loops hold a reference to the heap
-        list; rebinding ``self._heap`` would detach them.  Ordering is
+        In place because the run loop holds a reference to the heap
+        list; rebinding ``self._heap`` would detach it.  Ordering is
         unaffected: the heap invariant is rebuilt over the same
         ``(time, seq, ...)`` tuples.  Bucket entries are never
         cancellable, so compaction touches only the heap tier.
@@ -678,24 +691,6 @@ class Simulator:
         return (len(self._heap) + len(self._now_list)
                 + sum(map(len, self._buckets.values())))
 
-    def _peek_time(self) -> Optional[int]:
-        """Earliest pending timestamp across all tiers, or ``None``.
-
-        May name a time holding only tombstones; callers use it solely
-        for bound checks (every live event is at or after it).
-        """
-        best: Optional[int] = self.now if self._now_list else None
-        if self._times:
-            time = self._times[0]
-            if best is None or time < best:
-                best = time
-        heap = self._heap
-        if heap:
-            time = heap[0][0]
-            if best is None or time < best:
-                best = time
-        return best
-
     # -- batch collection --------------------------------------------------
 
     def _drain_heap_run(self, time: int) -> Optional[list]:
@@ -704,7 +699,7 @@ class Simulator:
         Returns the seq-ordered live entries, or ``None`` when the run
         was tombstones throughout.  Live ``EventHandle`` slots stay
         wrapped: a handle may still be cancelled by an earlier event in
-        the same batch, so the dispatch loops re-check at fire time.
+        the same batch, so the run loop re-checks at fire time.
         """
         heap = self._heap
         out = []
@@ -717,36 +712,32 @@ class Simulator:
             out.append(entry)
         return out or None
 
-    def _take_batch(self) -> Optional[Tuple[int, list, bool]]:
+    def _take_batch(self) -> Optional[Tuple[int, list]]:
         """Remove and return the next same-timestamp run of events.
 
-        Returns ``(time, batch, has_handles)`` — ``batch`` seq-ordered,
-        ``has_handles`` true when entries may need handle unwrapping —
-        or ``None`` when nothing is pending.  When a timestamp has
-        events in both tiers the runs are merged with a tuple sort:
+        Returns ``(time, batch)`` with ``batch`` seq-ordered, or
+        ``None`` when nothing is pending.  When a timestamp has events
+        in more than one tier the runs are merged with a tuple sort:
         ``seq`` is unique, so the sort is a pure C merge and the result
-        is the exact order a single heap would have produced.
+        is the exact order a single heap would have produced.  A batch
+        held by the immediate tier alone is taken inline by the run
+        loop, never here.
         """
         times = self._times
         heap = self._heap
         now_list = self._now_list
         if now_list:
             time = self.now
-            if ((not heap or heap[0][0] > time)
-                    and (not times or times[0] > time)):
-                batch = now_list.copy()
-                now_list.clear()
-                return time, batch, False
             if (heap and heap[0][0] == time
                     and (not times or times[0] > time)):
                 batch = now_list.copy()
                 now_list.clear()
                 run = self._drain_heap_run(time)
                 if run is None:
-                    return time, batch, False
+                    return time, batch
                 run += batch
                 run.sort()
-                return time, run, True
+                return time, run
             # A tier holds an earlier (or equal-time bucket) batch:
             # flush the immediate tier to the heap — entries keep
             # their (time, seq), so the generic merge below preserves
@@ -764,23 +755,23 @@ class Simulator:
                         batch = self._drain_heap_run(heap_time)
                         if batch is None:
                             continue
-                        return heap_time, batch, True
+                        return heap_time, batch
                     if heap_time == time:
                         _heappop(times)
                         bucket = self._buckets.pop(time)
                         run = self._drain_heap_run(time)
                         if run is None:
-                            return time, bucket, False
+                            return time, bucket
                         run += bucket
                         run.sort()
-                        return time, run, True
+                        return time, run
                 _heappop(times)
-                return time, self._buckets.pop(time), False
+                return time, self._buckets.pop(time)
             if heap:
                 batch = self._drain_heap_run(heap[0][0])
                 if batch is None:
                     continue
-                return batch[0][0], batch, True
+                return batch[0][0], batch
             return None
 
     def _push_back(self, entries: Iterable[_HeapEntry]) -> None:
@@ -809,12 +800,8 @@ class Simulator:
         Returns the number of events executed.  With ``until``, events
         at times ``<= until`` run and ``now`` advances to ``until``.
         """
-        if self.hooks is not None:
-            executed = self._run_hooked(until, max_events)
-        elif until is None and max_events is None:
-            executed = self._run_fast()
-        else:
-            executed = self._run_bounded(until, max_events)
+        executed = self._dispatch(
+            _NO_BOUND if until is None else until, max_events, _NEVER_DONE)
         if until is not None and self.now < until:
             if self._now_list:
                 # Keep the immediate tier's all-at-``now`` invariant:
@@ -830,239 +817,18 @@ class Simulator:
                 raise SimulationDeadlock(blocked)
         return executed
 
-    def _run_fast(self) -> int:
-        """Drain both tiers with zero per-event bound checks.
-
-        Batch dispatch: each pass removes the whole run of events at
-        the next timestamp and fires them back-to-back.  Pure-bucket
-        batches (the common case) skip handle unwrapping entirely.  On
-        an exception the not-yet-fired tail of the batch is pushed
-        back, so a failed run leaves every unexecuted event queued.
-        """
-        heap = self._heap
-        times = self._times
-        buckets = self._buckets
-        now_list = self._now_list
-        take = self._take_batch
-        failures = self._failures
-        strict = self.strict_failures
-        now = self.now
-        executed = 0
-        try:
-            while True:
-                # Inline fast paths.  First the immediate tier: events
-                # at exactly ``now``, dispatched without touching the
-                # time-heap at all.  Then the bucket tier when the next
-                # timestamp lives only there (no heap entry at or
-                # before it) — no tombstone tests or seq merging.
-                if now_list:
-                    if ((not heap or heap[0][0] > now)
-                            and (not times or times[0] > now)):
-                        if len(now_list) == 1:
-                            entry = now_list[0]
-                            now_list.clear()
-                            entry[2](*entry[3])
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                            continue
-                        batch = now_list.copy()
-                        now_list.clear()
-                        tail = iter(batch)
-                        try:
-                            for _t, _s, fn, args in tail:
-                                fn(*args)
-                                executed += 1
-                                if failures and strict:
-                                    self._raise_failure()
-                        except BaseException:
-                            self._push_back(tail)
-                            raise
-                        continue
-                elif times and (not heap or times[0] < heap[0][0]):
-                    time = _heappop(times)
-                    batch = buckets.pop(time)
-                    self.now = now = time
-                    if len(batch) == 1:
-                        entry = batch[0]
-                        entry[2](*entry[3])
-                        executed += 1
-                        if failures and strict:
-                            self._raise_failure()
-                        continue
-                    tail = iter(batch)
-                    try:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                    except BaseException:
-                        self._push_back(tail)
-                        raise
-                    continue
-                item = take()
-                if item is None:
-                    break
-                time, batch, has_handles = item
-                self.now = now = time
-                tail = iter(batch)
-                try:
-                    if has_handles:
-                        for _t, _s, fn, args in tail:
-                            if fn is None:
-                                handle = args
-                                if handle.cancelled:
-                                    if self._cancelled > 0:
-                                        self._cancelled -= 1
-                                    continue
-                                handle.cancelled = True
-                                fn = handle.fn
-                                args = handle.args
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                    else:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                except BaseException:
-                    self._push_back(tail)
-                    raise
-        finally:
-            self.events_executed += executed
-        return executed
-
-    def _run_bounded(self, until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """Batch dispatch under bounds.
-
-        The ``until`` test runs per batch (a batch shares one
-        timestamp); ``max_events`` is a per-event countdown, and a
-        mid-batch stop pushes the unexecuted tail back into the queue.
-        """
-        failures = self._failures
-        executed = 0
-        remaining = max_events if max_events is not None else -1
-        try:
-            while remaining != 0:
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                item = self._take_batch()
-                if item is None:
-                    break
-                time, batch, _has_handles = item
-                if until is not None and time > until:
-                    # _peek_time saw a tombstone inside the bound; the
-                    # real next batch is outside it.
-                    self._push_back(batch)
-                    break
-                self.now = time
-                tail = iter(batch)
-                try:
-                    for entry in tail:
-                        if remaining == 0:
-                            self._push_back((entry,))
-                            self._push_back(tail)
-                            break
-                        fn = entry[2]
-                        args = entry[3]
-                        if fn is None:
-                            handle = args
-                            if handle.cancelled:
-                                if self._cancelled > 0:
-                                    self._cancelled -= 1
-                                continue
-                            handle.cancelled = True
-                            fn = handle.fn
-                            args = handle.args
-                        fn(*args)
-                        executed += 1
-                        remaining -= 1
-                        if failures and self.strict_failures:
-                            self._raise_failure()
-                except BaseException:
-                    self._push_back(tail)
-                    raise
-        finally:
-            self.events_executed += executed
-        return executed
-
-    def _run_hooked(self, until: Optional[int],
-                    max_events: Optional[int]) -> int:
-        """The instrumented loop: identical semantics, plus hooks."""
-        hooks = self.hooks
-        executed = 0
-        remaining = max_events if max_events is not None else -1
-        hooks.on_run_start(self)
-        try:
-            while remaining != 0:
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                item = self._take_batch()
-                if item is None:
-                    break
-                time, batch, _has_handles = item
-                if until is not None and time > until:
-                    self._push_back(batch)
-                    break
-                self.now = time
-                tail = iter(batch)
-                try:
-                    for entry in tail:
-                        if remaining == 0:
-                            self._push_back((entry,))
-                            self._push_back(tail)
-                            break
-                        fn = entry[2]
-                        args = entry[3]
-                        if fn is None:
-                            handle = args
-                            if handle.cancelled:
-                                if self._cancelled > 0:
-                                    self._cancelled -= 1
-                                continue
-                            handle.cancelled = True
-                            fn = handle.fn
-                            args = handle.args
-                        fn(*args)
-                        executed += 1
-                        remaining -= 1
-                        hooks.on_execute(self, time, fn)
-                        if self._failures and self.strict_failures:
-                            self._raise_failure()
-                except BaseException:
-                    self._push_back(tail)
-                    raise
-        finally:
-            hooks.on_run_end(self, executed)
-            self.events_executed += executed
-        return executed
-
-    def _raise_failure(self) -> None:
-        process, error = self._failures[0]
-        raise RuntimeError(
-            f"process {process.name!r} failed at t={self.now}ns"
-        ) from error
-
     def run_until_done(
         self, processes: Iterable[Process], limit_ns: Optional[int] = None
     ) -> None:
         """Run until every process in ``processes`` has completed.
 
         Raises :class:`SimulationDeadlock` if the heap drains first, or
-        ``TimeoutError`` if ``limit_ns`` simulated time passes first.
-        Stops exactly at the event that completes the last process (no
-        further events run, ``now`` stays at that event's time).
+        ``TimeoutError`` (naming the unfinished processes) if events
+        remain but the next one lies past ``limit_ns``: events at times
+        ``<= limit_ns`` run, none later does, and ``now`` stays at the
+        last executed event.  Stops exactly at the event that completes
+        the last process (no further events run, ``now`` stays at that
+        event's time).
         """
         targets = list(processes)
         # Count outstanding completions with a cell updated by the
@@ -1079,19 +845,27 @@ class Simulator:
                 pending[0] += 1
                 p.add_callback(_one_done)
 
-        if self.hooks is not None:
-            # Instrumented path: preserve the historical per-event
-            # run() cadence the profiler hooks observe.
-            while pending[0]:
-                if (not self._heap and not self._buckets
-                        and not self._now_list):
-                    raise SimulationDeadlock(
-                        [p for p in targets if not p.done])
-                if limit_ns is not None and self.now > limit_ns:
-                    self._raise_run_timeout(targets)
-                self.run(max_events=1)
-            return
+        self._dispatch(_NO_BOUND if limit_ns is None else limit_ns,
+                       None, pending)
+        if pending[0]:
+            if self._heap or self._buckets or self._now_list:
+                self._raise_run_timeout(targets)
+            raise SimulationDeadlock([p for p in targets if not p.done])
 
+    def _dispatch(self, until: int, max_events: Optional[int],
+                  pending: Sequence[int]) -> int:
+        """The run loop: fire events in ``(time, seq)`` order, one
+        same-timestamp batch at a time, until a stop condition holds.
+
+        It stops when the queue drains; when the next batch lies past
+        ``until`` (a per-batch test: a batch shares one timestamp);
+        after ``max_events`` events; or when the completion cell
+        ``pending[0]`` reaches 0.  The last two are tested after every
+        event, so they stop mid-batch and push the unfired tail back,
+        as an exception does.  Attached hooks see one
+        ``on_run_start``/``on_run_end`` pair per call and one
+        ``on_execute`` per event.  Returns the events executed.
+        """
         heap = self._heap
         times = self._times
         buckets = self._buckets
@@ -1099,122 +873,100 @@ class Simulator:
         take = self._take_batch
         failures = self._failures
         strict = self.strict_failures
-        # Local mirror of self.now for the loop's bound checks; kept in
+        hooks = self.hooks
+        stop = -1 if max_events is None else max_events
+        # Local mirror of self.now for the fast-path tests; kept in
         # sync at every assignment (dispatched fns never move ``now``).
         now = self.now
         executed = 0
+        if hooks is not None:
+            hooks.on_run_start(self)
         try:
-            while pending[0]:
-                # Inline fast paths (immediate tier, then bucket-only
-                # timestamps), mirroring _run_fast plus the limit and
-                # completion checks.
+            while pending[0] and executed != stop:
+                # Inline fast paths: the immediate tier when nothing
+                # else is due at ``now``, then a timestamp held only by
+                # the bucket tier.  Heap events and tier merges go
+                # through _take_batch.
+                batch: Optional[list] = None
                 if now_list:
                     if ((not heap or heap[0][0] > now)
                             and (not times or times[0] > now)):
-                        if limit_ns is not None and now > limit_ns:
-                            self._raise_run_timeout(targets)
-                        if len(now_list) == 1:
-                            entry = now_list[0]
-                            now_list.clear()
-                            entry[2](*entry[3])
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                            continue
-                        batch = now_list.copy()
-                        now_list.clear()
-                        tail = iter(batch)
-                        try:
-                            for _t, _s, fn, args in tail:
-                                fn(*args)
-                                executed += 1
-                                if failures and strict:
-                                    self._raise_failure()
-                                if not pending[0]:
-                                    # Stop exactly at the completing
-                                    # event: the rest of the batch
-                                    # stays queued.
-                                    self._push_back(tail)
-                                    break
-                        except BaseException:
-                            self._push_back(tail)
-                            raise
-                        continue
+                        if now > until:
+                            break
+                        # Aliased, not copied: the single-event path
+                        # clears it, a longer batch is copied.
+                        batch = now_list
                 elif times and (not heap or times[0] < heap[0][0]):
-                    if limit_ns is not None and now > limit_ns:
-                        self._raise_run_timeout(targets)
-                    time = _heappop(times)
+                    time = times[0]
+                    if time > until:
+                        break
+                    _heappop(times)
                     batch = buckets.pop(time)
                     self.now = now = time
-                    if len(batch) == 1:
-                        entry = batch[0]
-                        entry[2](*entry[3])
-                        executed += 1
-                        if failures and strict:
-                            self._raise_failure()
-                        continue
-                    tail = iter(batch)
-                    try:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                            if not pending[0]:
-                                # Stop exactly at the completing event:
-                                # the rest of the batch stays queued.
-                                self._push_back(tail)
-                                break
-                    except BaseException:
-                        self._push_back(tail)
-                        raise
+                if batch is None:
+                    item = take()
+                    if item is None:
+                        break
+                    time, batch = item
+                    if time > until:
+                        self._push_back(batch)
+                        break
+                    self.now = now = time
+                elif len(batch) == 1:
+                    # Single-event path: no iterator and no try, as no
+                    # tail is left to push back; the while condition is
+                    # the stop test.  The immediate and bucket tiers
+                    # hold no handles.
+                    _t, _s, fn, args = batch[0]
+                    if batch is now_list:
+                        now_list.clear()
+                    fn(*args)
+                    executed += 1
+                    if hooks is not None:
+                        hooks.on_execute(self, now, fn)
+                    if failures and strict:
+                        self._raise_failure()
                     continue
-                if not heap and not buckets and not now_list:
-                    raise SimulationDeadlock(
-                        [p for p in targets if not p.done])
-                if limit_ns is not None and now > limit_ns:
-                    self._raise_run_timeout(targets)
-                item = take()
-                if item is None:
-                    # Only tombstones were left.
-                    raise SimulationDeadlock(
-                        [p for p in targets if not p.done])
-                time, batch, has_handles = item
-                self.now = now = time
+                elif batch is now_list:
+                    batch = now_list.copy()
+                    now_list.clear()
                 tail = iter(batch)
                 try:
-                    if has_handles:
-                        for _t, _s, fn, args in tail:
-                            if fn is None:
-                                handle = args
-                                if handle.cancelled:
-                                    if self._cancelled > 0:
-                                        self._cancelled -= 1
-                                    continue
-                                handle.cancelled = True
-                                fn = handle.fn
-                                args = handle.args
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                            if not pending[0]:
-                                self._push_back(tail)
-                                break
-                    else:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                            if not pending[0]:
-                                self._push_back(tail)
-                                break
+                    for _t, _s, fn, args in tail:
+                        if fn is None:
+                            # A handle may be cancelled by an earlier
+                            # event of its own batch.
+                            handle = args
+                            if handle.cancelled:
+                                if self._cancelled > 0:
+                                    self._cancelled -= 1
+                                continue
+                            handle.cancelled = True
+                            fn = handle.fn
+                            args = handle.args
+                        fn(*args)
+                        executed += 1
+                        if hooks is not None:
+                            hooks.on_execute(self, now, fn)
+                        if failures and strict:
+                            self._raise_failure()
+                        if executed == stop or not pending[0]:
+                            self._push_back(tail)
+                            break
                 except BaseException:
                     self._push_back(tail)
                     raise
         finally:
+            if hooks is not None:
+                hooks.on_run_end(self, executed)
             self.events_executed += executed
+        return executed
+
+    def _raise_failure(self) -> None:
+        process, error = self._failures[0]
+        raise RuntimeError(
+            f"process {process.name!r} failed at t={self.now}ns"
+        ) from error
 
     def _raise_run_timeout(self, targets: List[Process]) -> None:
         waiting = ", ".join(p.name for p in targets if not p.done)

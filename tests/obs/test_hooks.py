@@ -1,9 +1,11 @@
 """Kernel hooks and the event-loop profiler: accurate counts, and —
 critically — no effect on the simulated history."""
 
+import pytest
+
 from repro.api import Cluster, ClusterConfig
 from repro.obs import EventLoopProfiler, KernelHooks
-from repro.sim import Simulator
+from repro.sim import KERNELS, Simulator
 
 
 def test_base_hooks_are_no_ops():
@@ -73,6 +75,27 @@ def test_profiler_and_metrics_do_not_perturb_simulated_history():
     assert profiler is not None
     assert profiler.events_executed > 0
     assert profiler.events_scheduled >= profiler.events_executed
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_profiler_counts_one_run_per_kernel_call(kernel):
+    # Cluster.run(join=...) is two kernel calls: the join, then the
+    # drain of in-flight traffic.
+    config = ClusterConfig(n_nodes=3, profile_kernel=True, kernel=kernel)
+    with Cluster(config) as cluster:
+        seg = cluster.alloc_segment(home=0, pages=1, name="d")
+        proc = cluster.create_process(node=1, name="p1")
+        base = proc.map(seg)
+
+        def program(p):
+            for i in range(5):
+                yield p.store(base + 4 * i, i)
+            yield p.fence()
+
+        cluster.run(join=[cluster.start(proc, program)])
+        profiler = cluster.profiler
+        assert profiler.runs == 2
+        assert profiler.events_executed == cluster.sim.events_executed > 0
 
 
 def test_cluster_exit_detaches_hooks():

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.sim import (
+    KERNELS,
     Delay,
     Future,
     Interrupt,
     SimulationDeadlock,
     Simulator,
+    make_simulator,
 )
 
 
@@ -304,6 +306,30 @@ def test_run_until_done_raises_deadlock_when_heap_drains():
     proc = sim.spawn(stuck(), name="stuck")
     with pytest.raises(SimulationDeadlock):
         sim.run_until_done([proc])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_run_until_done_timeout_runs_nothing_past_the_limit(kernel):
+    # Events at t <= limit_ns run and none later does, on both kernels:
+    # the spinner's first step runs at t=0, while its t=10 step and the
+    # three t=10 callbacks stay queued.
+    sim = make_simulator(kernel)
+    fired = []
+
+    def spin():
+        while True:
+            yield 10
+
+    proc = sim.spawn(spin(), name="spinner")
+    for i in range(3):
+        sim._post(10, fired.append, (i,))
+    with pytest.raises(TimeoutError) as excinfo:
+        sim.run_until_done([proc], limit_ns=5)
+    assert "spinner" in str(excinfo.value)
+    assert (sim.now, sim.events_executed, fired) == (0, 1, [])
+    assert sim.pending_events == 4
+    sim.run(until=10)
+    assert fired == [0, 1, 2]
 
 
 def test_run_check_deadlock_flag():

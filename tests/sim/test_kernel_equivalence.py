@@ -13,8 +13,10 @@ This file checks that promise two ways:
 - **Randomized schedules**: ``N_SCHEDULES`` seeded scripts of
   post/cancel/timer/process/wakeup operations (including bound
   ``run(until=…)`` / ``run(max_events=…)`` slices that strand events
-  mid-batch) are interpreted against both kernels; the full dispatch
-  logs must serialize to identical bytes.  ``REPRO_STRESS_ITERS=N``
+  mid-batch, ``run_until_done`` joins whose ``limit_ns`` sometimes
+  fires, and runs observed through recording kernel hooks) are
+  interpreted against both kernels; the full dispatch logs must
+  serialize to identical bytes.  ``REPRO_STRESS_ITERS=N``
   multiplies the schedule count.
 - **Cross-kernel cluster pins**: full-cluster workloads (the golden
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
@@ -30,9 +32,11 @@ import random
 
 import pytest
 
+from repro.obs import KernelHooks
 from repro.sim import (
     KERNELS,
     ReferenceSimulator,
+    SimulationDeadlock,
     Simulator,
     make_simulator,
 )
@@ -47,6 +51,11 @@ STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
 
 #: Randomized schedules per test run (the acceptance floor is 1000).
 N_SCHEDULES = 1000 * STRESS_ITERS
+
+#: ``run_until_done`` limits, relative to ``now``: ``None`` (no limit),
+#: limits that fire on the first batch past ``now``, inside a run of
+#: process delays, and past everything but the heap-tier delays.
+JOIN_LIMITS = (None, 0, 5, 10, 64, 1000, 20000, 1 << 21)
 
 #: Delay palette: immediate tier (0), bucket tier (small), heap tier
 #: (beyond the default horizon), plus awkward in-between values.
@@ -94,12 +103,37 @@ def build_script(seed: int):
                 for _ in range(rng.randrange(1, 5))
             )
             script.append(("spawn", steps))
-        elif r < 0.85:
+        elif r < 0.80:
             script.append(("run_until", rng.randrange(0, 2000)))
-        else:
+        elif r < 0.88:
             script.append(("run_max", rng.randrange(1, 8)))
+        elif r < 0.94:
+            script.append(("join", rng.choice(JOIN_LIMITS)))
+        else:
+            # Observe the next run operation through kernel hooks.
+            script.append(("hooked",))
     script.append(("run_all",))
     return script
+
+
+#: Script operations that run the kernel.
+RUN_OPS = ("run_until", "run_max", "join", "run_all")
+
+
+class RecordingHooks(KernelHooks):
+    """Logs the run/execute stream the kernel reports to its hooks."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_run_start(self, sim):
+        self.log.append(("run_start", sim.now))
+
+    def on_execute(self, sim, time_ns, fn):
+        self.log.append(("execute", time_ns, fn.__qualname__))
+
+    def on_run_end(self, sim, executed):
+        self.log.append(("run_end", executed))
 
 
 class ScriptRunner:
@@ -109,6 +143,7 @@ class ScriptRunner:
         self.sim = sim
         self.log = []
         self.handles = []
+        self.processes = []
         self._tags = iter(range(1 << 30))
 
     def _fire(self, tag, children):
@@ -128,10 +163,23 @@ class ScriptRunner:
                 self.log.append((self.sim.now, "woke", tag, got))
             self.log.append((self.sim.now, "step", tag))
 
+    def _join(self, limit):
+        sim = self.sim
+        limit_ns = None if limit is None else sim.now + limit
+        try:
+            sim.run_until_done(self.processes, limit_ns=limit_ns)
+            outcome = None
+        except (TimeoutError, SimulationDeadlock) as err:
+            outcome = [type(err).__name__, str(err)]
+        self.log.append(("join", outcome, sim.now))
+
     def execute(self, script):
         sim = self.sim
         for op in script:
             kind = op[0]
+            if kind == "hooked":
+                sim.hooks = RecordingHooks(self.log)
+                continue
             if kind == "post":
                 sim._post(op[1], self._fire, (next(self._tags), op[2]))
             elif kind == "timer":
@@ -142,13 +190,19 @@ class ScriptRunner:
                     self.handles.pop(op[1] % len(self.handles)).cancel()
             elif kind == "spawn":
                 tag = next(self._tags)
-                sim.spawn(self._process(tag, op[1]), name=f"p{tag}")
+                self.processes.append(
+                    sim.spawn(self._process(tag, op[1]), name=f"p{tag}"))
             elif kind == "run_until":
                 sim.run(until=sim.now + op[1])
             elif kind == "run_max":
                 sim.run(max_events=op[1])
+            elif kind == "join":
+                self._join(op[1])
             else:
                 sim.run()
+            if kind in RUN_OPS:
+                # A "hooked" op observes exactly one run operation.
+                sim.hooks = None
         sim.run()
         self.log.append(("final", sim.now, sim.events_executed,
                          sim.pending_events))
